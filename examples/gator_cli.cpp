@@ -102,7 +102,7 @@ void printUsage(std::ostream &OS) {
   OS << "usage: gator_cli <dir> [--dot <file>] [--tuples] "
         "[--hierarchy] [--atg] [--solution] "
         "[--sequences <ActivityClass>] [--reach] [--json <file>] "
-        "[--lint] [--batch] [-j <n>] [--solve-jobs <n>] "
+        "[--lint] [--batch] [-j <n>] "
         "[--max-seconds <s>] [--max-work <n>] "
         "[--max-nodes <n>] [--max-edges <n>] [--trace-out <file>] "
         "[--metrics-out <file>] [--metrics-format json|prom] "
@@ -119,14 +119,6 @@ void printUsage(std::ostream &OS) {
         "(default: 1,\n"
         "                 or $GATOR_JOBS); output is byte-identical for "
         "every value\n"
-        "  --solve-jobs <n>\n"
-        "                 worker threads inside one solve "
-        "(docs/PARALLEL.md); 0 =\n"
-        "                 hardware concurrency (default: 1); dumps, "
-        "digests, and exit\n"
-        "                 codes are byte-identical for every value; "
-        "clamped to 1 per\n"
-        "                 task when batch -j > 1\n"
         "  --max-seconds  wall-clock budget; in batch mode one deadline "
         "shared by the\n"
         "                 whole batch (per-app caps below stay per-app)\n"
@@ -143,8 +135,7 @@ void printUsage(std::ostream &OS) {
         "one wide-event\n"
         "                 record per analyzed app in input order "
         "(byte-identical for\n"
-        "                 every -j / --solve-jobs value under --no-times); "
-        "aggregate or\n"
+        "                 every -j value under --no-times); aggregate or\n"
         "                 diff ledgers with `gator_cli report`\n"
         "  --explain      record provenance and print the derivation "
         "tree of every\n"
@@ -222,6 +213,89 @@ struct CliConfig {
   analysis::AnalysisOptions Options;
 };
 
+/// What parseAppDir read from one app directory.
+struct ParsedApp {
+  /// False when the directory, or one of its files, could not be read, or
+  /// it holds no .alite/.dexlite file; the error is already reported.
+  bool Read = false;
+  bool Ok = true;         ///< every file parsed without errors
+  bool Finalized = false; ///< the bundle resolved (AppBundle::finalize)
+  fs::path ManifestFile;  ///< AndroidManifest.xml, empty when absent
+};
+
+/// The file census and parse loop of one app directory, shared by the
+/// analysis and --incremental-edit paths: gathers the inputs in sorted
+/// order (for deterministic diagnostics), parses every ALite, DexLite, and
+/// layout file into \p App, and finalizes it. The manifest is only
+/// located; callers decide what to do with it. Runs inside the caller's
+/// "parse" span, on which it records the file count.
+ParsedApp parseAppDir(const std::string &InputDir, corpus::AppBundle &App,
+                      support::TraceSpan &ParseSpan, std::ostream &Err) {
+  ParsedApp Parsed;
+
+  // Gather inputs in sorted order for deterministic diagnostics.
+  std::vector<fs::path> AliteFiles, DexFiles, XmlFiles;
+  std::error_code EC;
+  for (const auto &Entry : fs::recursive_directory_iterator(InputDir, EC)) {
+    if (!Entry.is_regular_file())
+      continue;
+    if (Entry.path().extension() == ".alite")
+      AliteFiles.push_back(Entry.path());
+    else if (Entry.path().extension() == ".dexlite")
+      DexFiles.push_back(Entry.path());
+    else if (Entry.path().filename() == "AndroidManifest.xml")
+      Parsed.ManifestFile = Entry.path();
+    else if (Entry.path().extension() == ".xml")
+      XmlFiles.push_back(Entry.path());
+  }
+  if (EC) {
+    Err << "error: cannot read directory '" << InputDir
+        << "': " << EC.message() << "\n";
+    return Parsed;
+  }
+  std::sort(AliteFiles.begin(), AliteFiles.end());
+  std::sort(DexFiles.begin(), DexFiles.end());
+  std::sort(XmlFiles.begin(), XmlFiles.end());
+  if (AliteFiles.empty() && DexFiles.empty()) {
+    Err << "error: no .alite or .dexlite files under '" << InputDir << "'\n";
+    return Parsed;
+  }
+
+  ParseSpan.arg("files",
+                AliteFiles.size() + DexFiles.size() + XmlFiles.size());
+  for (const fs::path &Path : AliteFiles) {
+    std::string Text;
+    if (!readFile(Path, Text)) {
+      Err << "error: cannot read " << Path << "\n";
+      return Parsed;
+    }
+    Parsed.Ok &=
+        parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
+  }
+  for (const fs::path &Path : DexFiles) {
+    std::string Text;
+    if (!readFile(Path, Text)) {
+      Err << "error: cannot read " << Path << "\n";
+      return Parsed;
+    }
+    Parsed.Ok &=
+        dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
+  }
+  for (const fs::path &Path : XmlFiles) {
+    std::string Text;
+    if (!readFile(Path, Text)) {
+      Err << "error: cannot read " << Path << "\n";
+      return Parsed;
+    }
+    Parsed.Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(),
+                                       Text, App.Diags) != nullptr;
+  }
+  Parsed.Finalized = App.finalize();
+  Parsed.Ok &= Parsed.Finalized;
+  Parsed.Read = true;
+  return Parsed;
+}
+
 /// Analyzes one application directory end to end. Fail-soft: parse
 /// diagnostics do not abort the run — the analysis still executes and its
 /// solution carries a fidelity marker. Returns 0 (clean), 1 (input
@@ -235,71 +309,14 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   corpus::AppBundle App;
   App.Android.install(App.Program);
 
-  bool Ok = true;
-  bool Finalized = false;
+  ParsedApp Parsed;
   std::optional<android::Manifest> Manifest;
   {
   support::TraceSpan ParseSpan(Cfg.Options.Trace, "parse");
-
-  // Gather inputs in sorted order for deterministic diagnostics.
-  std::vector<fs::path> AliteFiles, DexFiles, XmlFiles;
-  fs::path ManifestFile;
-  std::error_code EC;
-  for (const auto &Entry : fs::recursive_directory_iterator(InputDir, EC)) {
-    if (!Entry.is_regular_file())
-      continue;
-    if (Entry.path().extension() == ".alite")
-      AliteFiles.push_back(Entry.path());
-    else if (Entry.path().extension() == ".dexlite")
-      DexFiles.push_back(Entry.path());
-    else if (Entry.path().filename() == "AndroidManifest.xml")
-      ManifestFile = Entry.path();
-    else if (Entry.path().extension() == ".xml")
-      XmlFiles.push_back(Entry.path());
-  }
-  if (EC) {
-    Err << "error: cannot read directory '" << InputDir
-              << "': " << EC.message() << "\n";
+  Parsed = parseAppDir(InputDir, App, ParseSpan, Err);
+  if (!Parsed.Read)
     return 1;
-  }
-  std::sort(AliteFiles.begin(), AliteFiles.end());
-  std::sort(DexFiles.begin(), DexFiles.end());
-  std::sort(XmlFiles.begin(), XmlFiles.end());
-  if (AliteFiles.empty() && DexFiles.empty()) {
-    Err << "error: no .alite or .dexlite files under '" << InputDir
-              << "'\n";
-    return 1;
-  }
-
-  ParseSpan.arg("files",
-                AliteFiles.size() + DexFiles.size() + XmlFiles.size());
-  for (const fs::path &Path : AliteFiles) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
-    }
-    Ok &= parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : DexFiles) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
-    }
-    Ok &= dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : XmlFiles) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      Err << "error: cannot read " << Path << "\n";
-      return 1;
-    }
-    Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(), Text,
-                                App.Diags) != nullptr;
-  }
-  Finalized = App.finalize();
-  Ok &= Finalized;
+  const fs::path &ManifestFile = Parsed.ManifestFile;
 
   // Manifest (optional): validates declared activities and provides the
   // default start point for --sequences.
@@ -325,9 +342,9 @@ int runOneAppUnguarded(const std::string &InputDir, const CliConfig &Cfg,
   // An unresolved program has no coherent hierarchy to analyze; anything
   // short of that proceeds fail-soft, with diagnostics reflected in the
   // exit code and the fidelity marker.
-  if (!Finalized)
+  if (!Parsed.Finalized)
     return 1;
-  bool HadInputErrors = !Ok || App.Diags.hasErrors();
+  bool HadInputErrors = !Parsed.Ok || App.Diags.hasErrors();
 
   auto Result = analysis::GuiAnalysis::run(App.Program, *App.Layouts,
                                            App.Android, Cfg.Options,
@@ -593,56 +610,20 @@ int runOneAppCached(const std::string &InputDir, const CliConfig &Cfg,
 }
 
 /// Loads one app directory into \p App for the incremental-edit path:
-/// the same file census as runOneAppUnguarded, but demanding a clean
-/// parse (diagnostics go to stderr; any error fails the load).
-bool loadBundle(const std::string &Dir, corpus::AppBundle &App) {
+/// parseAppDir under its own "parse" span, but demanding a clean parse
+/// (diagnostics go to stderr; any error fails the load).
+bool loadBundle(const std::string &Dir, corpus::AppBundle &App,
+                support::TraceSink *Trace) {
   App.Android.install(App.Program);
-  std::vector<fs::path> AliteFiles, DexFiles, XmlFiles;
-  std::error_code EC;
-  for (const auto &Entry : fs::recursive_directory_iterator(Dir, EC)) {
-    if (!Entry.is_regular_file())
-      continue;
-    if (Entry.path().extension() == ".alite")
-      AliteFiles.push_back(Entry.path());
-    else if (Entry.path().extension() == ".dexlite")
-      DexFiles.push_back(Entry.path());
-    else if (Entry.path().filename() != "AndroidManifest.xml" &&
-             Entry.path().extension() == ".xml")
-      XmlFiles.push_back(Entry.path());
+  ParsedApp Parsed;
+  {
+    support::TraceSpan ParseSpan(Trace, "parse");
+    Parsed = parseAppDir(Dir, App, ParseSpan, std::cerr);
   }
-  if (EC) {
-    std::cerr << "error: cannot read directory '" << Dir
-              << "': " << EC.message() << "\n";
+  if (!Parsed.Read)
     return false;
-  }
-  std::sort(AliteFiles.begin(), AliteFiles.end());
-  std::sort(DexFiles.begin(), DexFiles.end());
-  std::sort(XmlFiles.begin(), XmlFiles.end());
-  if (AliteFiles.empty() && DexFiles.empty()) {
-    std::cerr << "error: no .alite or .dexlite files under '" << Dir << "'\n";
-    return false;
-  }
-  bool Ok = true;
-  std::string Text;
-  for (const fs::path &Path : AliteFiles) {
-    if (!readFile(Path, Text))
-      return false;
-    Ok &= parser::parseAlite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : DexFiles) {
-    if (!readFile(Path, Text))
-      return false;
-    Ok &= dex::parseDexLite(Text, Path.string(), App.Program, App.Diags);
-  }
-  for (const fs::path &Path : XmlFiles) {
-    if (!readFile(Path, Text))
-      return false;
-    Ok &= layout::readLayoutXml(*App.Layouts, Path.stem().string(), Text,
-                                App.Diags) != nullptr;
-  }
-  Ok &= App.finalize();
   App.Diags.print(std::cerr);
-  return Ok && !App.Diags.hasErrors();
+  return Parsed.Ok && !App.Diags.hasErrors();
 }
 
 /// --incremental-edit: solve the base app, apply the edited copy's
@@ -654,7 +635,8 @@ bool loadBundle(const std::string &Dir, corpus::AppBundle &App) {
 int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
                        const CliConfig &Cfg) {
   corpus::AppBundle Base, Edited;
-  if (!loadBundle(BaseDir, Base) || !loadBundle(EditDir, Edited)) {
+  if (!loadBundle(BaseDir, Base, Cfg.Options.Trace) ||
+      !loadBundle(EditDir, Edited, Cfg.Options.Trace)) {
     std::cerr << "error: --incremental-edit requires cleanly parsing base "
                  "and edited apps\n";
     return 2;
@@ -969,11 +951,6 @@ int main(int argc, char **argv) {
       if (!parseJobs(Val, "the -j flag", Cfg.Options.Jobs))
         return 2;
       JobsFromFlag = true;
-    } else if (Arg == "--solve-jobs") {
-      if (!NextValue(Val))
-        return usage();
-      if (!parseJobs(Val, "the --solve-jobs flag", Cfg.Options.SolveJobs))
-        return 2;
     } else if (Arg == "--dot") {
       if (!NextValue(Cfg.DotFile))
         return usage();
@@ -1197,11 +1174,6 @@ int main(int argc, char **argv) {
   CliConfig TaskCfg = Cfg;
   TaskCfg.Options.Budget.SharedDeadline =
       support::makeSharedDeadline(Cfg.Options.Budget.MaxWallSeconds);
-  // App-level parallelism wins: a pool of solves each spinning up its own
-  // intra-solve pool would oversubscribe the machine, so batch workers run
-  // their solves serially (results are identical either way).
-  if (Jobs > 1)
-    TaskCfg.Options.SolveJobs = 1;
 
   // Fan one thread-confined task per app over the pool; each task writes
   // into its own buffers, and the merge below emits them in input order,

@@ -260,6 +260,15 @@ TEST(CacheKeyTest, OptionsHashTracksSemanticKnobsOnly) {
   EXPECT_EQ(H0.hex(), hashAnalysisOptions(Jobs).hex());
 }
 
+TEST(CacheKeyTest, DefaultOptionsHashIsPinned) {
+  // The cache key and the ledger's options_digest both derive from this
+  // hash, so a change here orphans every on-disk cache entry and makes
+  // older ledgers refuse to diff. Only a change to the analysis semantics
+  // may move it; adding or removing a scheduling-only option must not.
+  EXPECT_EQ(hashAnalysisOptions(AnalysisOptions{}).hex(),
+            "26c1b19726646a81e063df153ba3bb86");
+}
+
 TEST(CacheKeyTest, AppSpecHashTracksEveryKnob) {
   corpus::AppSpec A;
   A.Name = "App";
