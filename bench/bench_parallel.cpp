@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Incremental.h"
+#include "analysis/SolutionCache.h"
 #include "corpus/BatchRunner.h"
 #include "corpus/FleetReport.h"
 #include "support/Metrics.h"
@@ -138,7 +138,7 @@ struct CachePoint {
 };
 
 /// Cold/warm/edit sweep of the content-addressed solution cache
-/// (docs/INCREMENTAL.md) over one spec list. Per job count: a fresh cache
+/// (docs/CACHE.md) over one spec list. Per job count: a fresh cache
 /// is populated cold, replayed warm (every app a hit; the aggregate
 /// counters must match the cold pass exactly), then hit with an "edited"
 /// fleet — 1% of specs changed — where only the edited apps re-solve.
@@ -194,53 +194,6 @@ std::vector<CachePoint> cacheSweep(const std::vector<AppSpec> &Specs,
   return Points;
 }
 
-struct EditMicro {
-  double ScratchSeconds = 0.0;
-  double IncSeconds = 0.0;
-  unsigned long IncPropagations = 0;
-  unsigned long ScratchPropagations = 0;
-};
-
-/// Edit-scale micro-measure: one layout edit re-solved incrementally
-/// (DRed retract + re-derive) vs a from-scratch solve of the edited app.
-EditMicro editScaleMicro() {
-  EditMicro M;
-  AppSpec Spec = paperCorpus().front();
-  GeneratedApp App = generateApp(Spec);
-  corpus::AppBundle &B = *App.Bundle;
-  analysis::IncrementalAnalysis Inc(B.Program, *B.Layouts, B.Android, {},
-                                    B.Diags);
-  Inc.solveInitial();
-  // Reverse the child order of the first editable layout.
-  for (const auto &Def : B.Layouts->layouts()) {
-    if (!Def->root())
-      continue;
-    auto NewRoot = Def->root()->clone();
-    auto Children = NewRoot->takeChildren();
-    for (auto It = Children.rbegin(); It != Children.rend(); ++It)
-      NewRoot->addChild(std::move(*It));
-    Timer TI;
-    if (!Inc.reanalyzeLayout(Def->name(), std::move(NewRoot)))
-      continue; // include target; try the next layout
-    M.IncSeconds = TI.seconds();
-    M.IncPropagations = Inc.lastStats().Propagations;
-    break;
-  }
-  AnalysisOptions ScratchOptions;
-  ScratchOptions.RecordProvenance = false;
-  Timer TS;
-  auto Scratch = analysis::GuiAnalysis::run(B.Program, *B.Layouts, B.Android,
-                                            ScratchOptions, B.Diags);
-  M.ScratchSeconds = TS.seconds();
-  if (Scratch)
-    M.ScratchPropagations = Scratch->Stats.Propagations;
-  std::printf("edit-scale micro (1 layout edit, %s): incremental %.4fs "
-              "(%lu propagations) vs scratch %.4fs (%lu propagations)\n\n",
-              Spec.Name.c_str(), M.IncSeconds, M.IncPropagations,
-              M.ScratchSeconds, M.ScratchPropagations);
-  return M;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -254,10 +207,8 @@ int main(int Argc, char **Argv) {
   //                construction, dynamic find ids, and missing-layout
   //                references each; such apps analyze as DegradedInput
   // --cache        replace the scaling sweep with the solution-cache
-  //                cold/warm/edit sweep over the fleet plus the
-  //                edit-scale incremental micro-measure
-  //                (docs/INCREMENTAL.md); results go to
-  //                bench/BENCH_incremental.json
+  //                cold/warm/edit sweep over the fleet (docs/CACHE.md);
+  //                recorded runs are in bench/BENCH_incremental.json
   // --ledger-out F write the fleet sweep's run ledger to F: one JSONL
   //                wide-event record per generated app
   //                (docs/OBSERVABILITY.md, "Run ledger & reports");
@@ -295,15 +246,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (CacheMode) {
-    std::printf("Solution-cache cold/warm/edit sweep "
-                "(docs/INCREMENTAL.md)\n");
+    std::printf("Solution-cache cold/warm/edit sweep (docs/CACHE.md)\n");
     std::printf("hardware concurrency: %u\n\n",
                 std::thread::hardware_concurrency());
     FleetSpec FS;
     FS.Apps = FleetApps;
     std::vector<CachePoint> Points = cacheSweep(makeFleet(FS), JobValues);
-    EditMicro Micro = editScaleMicro();
-    // Machine-readable tail for bench/BENCH_incremental.json.
+    // Machine-readable tail, as recorded in bench/BENCH_incremental.json.
     std::printf("json: {\"apps\": %u, \"sweep\": {", FleetApps);
     const char *Sep = "";
     for (const CachePoint &P : Points) {
@@ -313,11 +262,7 @@ int main(int Argc, char **Argv) {
                   P.ColdSeconds / P.WarmSeconds);
       Sep = ", ";
     }
-    std::printf("}, \"edit_micro\": {\"incremental\": %.6f, "
-                "\"scratch\": %.6f, \"incremental_propagations\": %lu, "
-                "\"scratch_propagations\": %lu}}\n",
-                Micro.IncSeconds, Micro.ScratchSeconds, Micro.IncPropagations,
-                Micro.ScratchPropagations);
+    std::printf("}}\n");
     return 0;
   }
 

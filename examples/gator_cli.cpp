@@ -57,7 +57,6 @@
 
 #include "analysis/AppStats.h"
 #include "analysis/GuiAnalysis.h"
-#include "analysis/Incremental.h"
 #include "analysis/SolutionCache.h"
 #include "android/Manifest.h"
 #include "corpus/AppBundle.h"
@@ -74,6 +73,7 @@
 #include "support/WideEvent.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -109,7 +109,7 @@ void printUsage(std::ostream &OS) {
         "[--ledger-out <file>] "
         "[--explain <substr>] [--diag-format text|json] "
         "[--no-unknown-sources] [--unknown-fanout <n>] "
-        "[--cache-dir <dir>] [--incremental-edit <dir2>] [--help]\n"
+        "[--cache-dir <dir>] [--help]\n"
         "       gator_cli report <ledger> [--report-format json|text]\n"
         "       gator_cli report --diff <old> <new> [--threshold <pct>] "
         "[--report-format json|text]\n"
@@ -156,22 +156,22 @@ void printUsage(std::ostream &OS) {
         "                 (0 = uncapped; default 64)\n"
         "  --cache-dir <dir>\n"
         "                 content-addressed solution cache "
-        "(docs/INCREMENTAL.md):\n"
+        "(docs/CACHE.md):\n"
         "                 warm hits replay a prior run's output and "
         "metrics without\n"
         "                 re-analyzing; corrupt entries degrade to a "
-        "full solve\n"
-        "  --incremental-edit <dir2>\n"
-        "                 treat <dir2> as an edited copy of <dir>: solve "
-        "<dir>, apply\n"
-        "                 the edits through the incremental re-solver, "
-        "and verify the\n"
-        "                 result against a from-scratch solve "
-        "(single-app mode only)\n";
+        "full solve\n";
 }
 
 int usage() {
   printUsage(std::cerr);
+  return 2;
+}
+
+/// Rejects an unrecognized flag by name (exit 2, like usage()).
+int unknownOption(const char *Arg) {
+  std::cerr << "error: unknown option '" << Arg
+            << "' (see gator_cli --help)\n";
   return 2;
 }
 
@@ -196,7 +196,6 @@ struct CliConfig {
   std::string ExplainQuery; ///< --explain: node-label substring
   bool DiagJson = false;    ///< --diag-format json
   std::string CacheDir; ///< --cache-dir: content-addressed solution cache
-  std::string EditDir;  ///< --incremental-edit: edited copy of the app
   std::string LedgerFile; ///< --ledger-out: JSONL run ledger
   /// Where per-app stats are recorded when --metrics-out is given. The
   /// batch driver points each task's copy at a thread-confined registry.
@@ -223,12 +222,11 @@ struct ParsedApp {
   fs::path ManifestFile;  ///< AndroidManifest.xml, empty when absent
 };
 
-/// The file census and parse loop of one app directory, shared by the
-/// analysis and --incremental-edit paths: gathers the inputs in sorted
-/// order (for deterministic diagnostics), parses every ALite, DexLite, and
-/// layout file into \p App, and finalizes it. The manifest is only
-/// located; callers decide what to do with it. Runs inside the caller's
-/// "parse" span, on which it records the file count.
+/// The file census and parse loop of one app directory: gathers the
+/// inputs in sorted order (for deterministic diagnostics), parses every
+/// ALite, DexLite, and layout file into \p App, and finalizes it. The
+/// manifest is only located; the caller decides what to do with it. Runs
+/// inside the caller's "parse" span, on which it records the file count.
 ParsedApp parseAppDir(const std::string &InputDir, corpus::AppBundle &App,
                       support::TraceSpan &ParseSpan, std::ostream &Err) {
   ParsedApp Parsed;
@@ -609,120 +607,6 @@ int runOneAppCached(const std::string &InputDir, const CliConfig &Cfg,
   return Code;
 }
 
-/// Loads one app directory into \p App for the incremental-edit path:
-/// parseAppDir under its own "parse" span, but demanding a clean parse
-/// (diagnostics go to stderr; any error fails the load).
-bool loadBundle(const std::string &Dir, corpus::AppBundle &App,
-                support::TraceSink *Trace) {
-  App.Android.install(App.Program);
-  ParsedApp Parsed;
-  {
-    support::TraceSpan ParseSpan(Trace, "parse");
-    Parsed = parseAppDir(Dir, App, ParseSpan, std::cerr);
-  }
-  if (!Parsed.Read)
-    return false;
-  App.Diags.print(std::cerr);
-  return Parsed.Ok && !App.Diags.hasErrors();
-}
-
-/// --incremental-edit: solve the base app, apply the edited copy's
-/// method/layout differences through the DRed incremental session
-/// (docs/INCREMENTAL.md), then differentially verify the result against a
-/// from-scratch solve of the edited program. Unsupported edit shapes
-/// (class/method/field set changes, include-target layout edits) fall
-/// back to a plain full solve of the edited app.
-int runIncrementalEdit(const std::string &BaseDir, const std::string &EditDir,
-                       const CliConfig &Cfg) {
-  corpus::AppBundle Base, Edited;
-  if (!loadBundle(BaseDir, Base, Cfg.Options.Trace) ||
-      !loadBundle(EditDir, Edited, Cfg.Options.Trace)) {
-    std::cerr << "error: --incremental-edit requires cleanly parsing base "
-                 "and edited apps\n";
-    return 2;
-  }
-  analysis::EditDiff Diff = analysis::diffBundles(
-      Base.Program, Edited.Program, *Base.Layouts, *Edited.Layouts);
-  if (!Diff.Unsupported.empty()) {
-    for (const std::string &Reason : Diff.Unsupported)
-      std::cout << "unsupported edit: " << Reason << "\n";
-    std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditDir, Cfg, std::cout, std::cerr);
-  }
-  std::cout << "edit diff: " << Diff.Methods.size() << " method(s), "
-            << Diff.Layouts.size() << " layout(s)\n";
-
-  analysis::IncrementalAnalysis Inc(Base.Program, *Base.Layouts, Base.Android,
-                                    Cfg.Options, Base.Diags);
-  Inc.solveInitial();
-
-  unsigned long IncPropagations = 0;
-  size_t Retracted = 0;
-  bool Applied = true;
-  for (auto &[BaseMethod, EditMethod] : Diff.Methods) {
-    if (!analysis::graftMethodBody(*BaseMethod, *EditMethod) ||
-        !Inc.reanalyzeMethod(*BaseMethod)) {
-      Applied = false;
-      break;
-    }
-    IncPropagations += Inc.lastStats().Propagations;
-    Retracted += Inc.lastFactsRetracted();
-  }
-  if (Applied)
-    for (const std::string &Name : Diff.Layouts) {
-      const layout::LayoutDef *Def = Edited.Layouts->findByName(Name);
-      if (!Def || !Def->root() ||
-          !Inc.reanalyzeLayout(Name, Def->root()->clone())) {
-        Applied = false;
-        break;
-      }
-      IncPropagations += Inc.lastStats().Propagations;
-      Retracted += Inc.lastFactsRetracted();
-    }
-  if (!Applied) {
-    std::cout << "fallback: full solve of the edited app\n";
-    return runOneApp(EditDir, Cfg, std::cout, std::cerr);
-  }
-
-  // Differential check: a from-scratch solve over the same (now grafted)
-  // program and layout objects must reach the same fixed point.
-  analysis::AnalysisOptions ScratchOptions = Cfg.Options;
-  ScratchOptions.RecordProvenance = false;
-  auto Scratch = analysis::GuiAnalysis::run(Base.Program, *Base.Layouts,
-                                            Base.Android, ScratchOptions,
-                                            Base.Diags);
-  if (!Scratch)
-    return 2;
-  const std::string IncDigest = analysis::solutionDigest(Inc.solution());
-  const std::string ScratchDigest = analysis::solutionDigest(*Scratch->Sol);
-  const bool Match = IncDigest == ScratchDigest;
-  std::cout << "facts retracted: " << Retracted << "\n"
-            << "incremental propagations: " << IncPropagations
-            << "  scratch propagations: " << Scratch->Stats.Propagations
-            << "\n"
-            << "incremental matches scratch: " << (Match ? "yes" : "no")
-            << "\n";
-  if (!Match) {
-    // Line-level digest diff, capped — enough to localize a divergence.
-    auto Split = [](const std::string &Text) {
-      std::vector<std::string> Lines;
-      std::istringstream SS(Text);
-      for (std::string Line; std::getline(SS, Line);)
-        Lines.push_back(Line);
-      return Lines;
-    };
-    const std::vector<std::string> A = Split(IncDigest), B = Split(ScratchDigest);
-    unsigned Shown = 0;
-    for (const std::string &L : A)
-      if (!std::binary_search(B.begin(), B.end(), L) && Shown++ < 16)
-        std::cout << "  only-incremental: " << L << "\n";
-    for (const std::string &L : B)
-      if (!std::binary_search(A.begin(), A.end(), L) && Shown++ < 32)
-        std::cout << "  only-scratch: " << L << "\n";
-  }
-  return Match ? 0 : 1;
-}
-
 /// Parses a non-negative number for a --max-* flag; false on garbage.
 bool parseCount(const std::string &Text, unsigned long &Out) {
   if (Text.empty() ||
@@ -845,7 +729,7 @@ int runReportMode(int argc, char **argv) {
       if (ThresholdPct < 0)
         return usage();
     } else if (!Arg.empty() && Arg[0] == '-') {
-      return usage();
+      return unknownOption(argv[I]);
     } else {
       Paths.push_back(Arg);
     }
@@ -889,6 +773,21 @@ int runReportMode(int argc, char **argv) {
   if (!D.Incomparable.empty())
     return 2;
   return D.empty() ? 0 : 1;
+}
+
+/// Parses a --max-seconds value: a finite, non-negative number (0 = no
+/// limit). NaN and infinity are rejected rather than read as "no limit".
+bool parseSeconds(const std::string &Text, double &Out) {
+  double Seconds = 0;
+  try {
+    Seconds = std::stod(Text);
+  } catch (const std::exception &) {
+    return false;
+  }
+  if (!std::isfinite(Seconds) || Seconds < 0)
+    return false;
+  Out = Seconds;
+  return true;
 }
 
 /// Parses a jobs knob. Accepts 0 (hardware concurrency) through
@@ -1009,9 +908,6 @@ int main(int argc, char **argv) {
     } else if (Arg == "--cache-dir") {
       if (!NextValue(Cfg.CacheDir) || Cfg.CacheDir.empty())
         return usage();
-    } else if (Arg == "--incremental-edit") {
-      if (!NextValue(Cfg.EditDir) || Cfg.EditDir.empty())
-        return usage();
     } else if (Arg == "--lint") {
       Cfg.WantLint = true;
     } else if (Arg == "--no-times") {
@@ -1021,13 +917,11 @@ int main(int argc, char **argv) {
     } else if (Arg == "--max-seconds") {
       if (!NextValue(Val))
         return usage();
-      try {
-        Cfg.Options.Budget.MaxWallSeconds = std::stod(Val);
-      } catch (const std::exception &) {
-        return usage();
+      if (!parseSeconds(Val, Cfg.Options.Budget.MaxWallSeconds)) {
+        std::cerr << "error: invalid --max-seconds value '" << Val
+                  << "' (expected a finite number of seconds >= 0)\n";
+        return 2;
       }
-      if (Cfg.Options.Budget.MaxWallSeconds < 0)
-        return usage();
     } else if (Arg == "--max-work") {
       if (!NextValue(Val) ||
           !parseCount(Val, Cfg.Options.Budget.MaxWorkItems))
@@ -1050,7 +944,11 @@ int main(int argc, char **argv) {
         return usage();
       Cfg.Options.Budget.MaxGraphEdges = N;
     } else if (!Arg.empty() && Arg[0] == '-') {
-      return usage();
+      return unknownOption(argv[I]);
+    } else if (!InputDir.empty()) {
+      std::cerr << "error: unexpected argument '" << Arg
+                << "' (one app directory expected)\n";
+      return 2;
     } else {
       InputDir = Arg;
     }
@@ -1081,30 +979,7 @@ int main(int argc, char **argv) {
   support::TraceSink Trace;
   support::MetricsRegistry Metrics;
 
-  if (!Cfg.EditDir.empty()) {
-    if (Cfg.Batch) {
-      std::cerr << "error: --incremental-edit works on a single app and "
-                   "cannot be combined with --batch\n";
-      return 2;
-    }
-    if (!Cfg.LedgerFile.empty()) {
-      // The edit session analyzes two program states; there is no single
-      // per-app record that describes it.
-      std::cerr << "error: --ledger-out cannot be combined with "
-                   "--incremental-edit\n";
-      return 2;
-    }
-    if (WantTrace)
-      Cfg.Options.Trace = &Trace;
-    if (WantMetrics)
-      Cfg.Metrics = &Metrics;
-    int Code = runIncrementalEdit(InputDir, Cfg.EditDir, Cfg);
-    if (!writeTelemetry(Cfg, Trace, Metrics))
-      return 2;
-    return Code;
-  }
-
-  // The solution cache (docs/INCREMENTAL.md). Runs whose outcome can
+  // The solution cache (docs/CACHE.md). Runs whose outcome can
   // depend on timing (wall-clock budgets) or that write per-app artifact
   // files are never cached — the flag is ignored with a note rather than
   // serving a result that could differ from the cold run.

@@ -128,42 +128,6 @@ public:
   /// True once the set left the small linear-scan representation.
   bool promoted() const { return Index != nullptr; }
 
-  //===--------------------------------------------------------------------===//
-  // Retraction (edit-scale incremental re-solve, docs/INCREMENTAL.md)
-  //===--------------------------------------------------------------------===//
-
-  /// Removes every element for which \p IsDead returns true, compacting the
-  /// survivors in their original insertion order. Returns the number of
-  /// elements removed.
-  ///
-  /// This is the one non-monotone entry point, used only between solver
-  /// runs by the delete-and-rederive closure. The committed/delta split is
-  /// reset to "everything is delta" so the next solve re-propagates the
-  /// whole surviving set — retraction may have removed values downstream,
-  /// and re-pushing survivors is exactly the DRed re-derive step.
-  template <typename Pred> size_t eraseValues(Pred IsDead) {
-    size_t W = 0;
-    for (size_t R = 0; R < Elements.size(); ++R) {
-      if (!IsDead(Elements[R]))
-        Elements[W++] = Elements[R];
-    }
-    size_t Removed = Elements.size() - W;
-    if (Removed) {
-      Elements.truncate(W);
-      if (Index) {
-        if (Elements.size() <= SmallLimit) {
-          // Back to the small representation; a later insert re-promotes.
-          Index.reset();
-        } else {
-          Index = std::make_unique<std::unordered_set<graph::NodeId>>(
-              Elements.begin(), Elements.end());
-        }
-      }
-    }
-    DeltaStart = 0;
-    return Removed;
-  }
-
 private:
   /// All elements in insertion order (monotone: never shrinks); storage
   /// bump-allocated from the owning Solution's arena.

@@ -47,7 +47,7 @@ void GraphBuilder::buildActivityNodes(ConstraintGraph &G) {
         std::string Key = M->name() + "/" + std::to_string(M->paramCount());
         if (!Seen.insert(Key).second)
           continue; // overridden below; dispatch target already recorded
-        addFlow(G, ActNode, G.getVarNode(M, M->thisVar()));
+        G.addFlowEdge(ActNode, G.getVarNode(M, M->thisVar()));
       }
     }
   }
@@ -62,19 +62,19 @@ void GraphBuilder::buildCallEdges(ConstraintGraph &G, const MethodDecl &M,
       continue;
     // Receiver into `this`.
     if (!T->isStatic())
-      addFlow(G, G.getVarNode(&M, S.Base), G.getVarNode(T, T->thisVar()));
+      G.addFlowEdge(G.getVarNode(&M, S.Base), G.getVarNode(T, T->thisVar()));
     // Arguments into parameters.
     unsigned N = std::min<unsigned>(T->paramCount(),
                                     static_cast<unsigned>(S.Args.size()));
     for (unsigned I = 0; I < N; ++I)
-      addFlow(G, G.getVarNode(&M, S.Args[I]),
+      G.addFlowEdge(G.getVarNode(&M, S.Args[I]),
                     G.getVarNode(T, T->paramVar(I)));
     // Returned values into the call result.
     if (S.Lhs != InvalidVar) {
       NodeId LhsNode = G.getVarNode(&M, S.Lhs);
       for (const Stmt &Ret : T->body())
         if (Ret.Kind == StmtKind::Return && Ret.Lhs != InvalidVar)
-          addFlow(G, G.getVarNode(T, Ret.Lhs), LhsNode);
+          G.addFlowEdge(G.getVarNode(T, Ret.Lhs), LhsNode);
     }
   }
 }
@@ -82,12 +82,9 @@ void GraphBuilder::buildCallEdges(ConstraintGraph &G, const MethodDecl &M,
 void GraphBuilder::buildOpSite(ConstraintGraph &G, std::vector<OpSite> &Ops,
                                const MethodDecl &M, const Stmt &S,
                                const OpSpec &Spec) {
-  // Roles are resolved before the op node is minted so an edit-scale
-  // rebuild can match this site against a dead predecessor by (kind,
-  // roles) and resurrect its slot — keeping op indices and OpNode ids
-  // stable memo keys (docs/INCREMENTAL.md). Role-edge emission order below
-  // matches the historical per-kind order (Recv, IdArg, AttachParent /
-  // ValArg, Out) byte for byte.
+  // Roles are resolved (minting their variable nodes) before the op node,
+  // which fixes every node id; role edges are then emitted in the order
+  // Recv, IdArg, ValArg, AttachParent, Out.
   OpSite Site;
   Site.Spec = Spec;
   Site.Method = &M;
@@ -128,24 +125,18 @@ void GraphBuilder::buildOpSite(ConstraintGraph &G, std::vector<OpSite> &Ops,
   if (S.Lhs != InvalidVar)
     Site.Out = G.getVarNode(&M, S.Lhs);
 
-  uint32_t Reused = OpReuse ? OpReuse(Site) : ~0u;
-  if (Reused != ~0u) {
-    Site.OpNode = Ops[Reused].OpNode;
-    Ops[Reused] = Site; // Dead defaults false: the slot is live again
-  } else {
-    Site.OpNode = G.makeOpNode(Spec.Kind, S.Loc, Spec.Listener, Spec.ChildOnly);
-    Ops.push_back(Site);
-  }
+  Site.OpNode = G.makeOpNode(Spec.Kind, S.Loc, Spec.Listener, Spec.ChildOnly);
+  Ops.push_back(Site);
 
-  addFlow(G, Site.Recv, Site.OpNode);
+  G.addFlowEdge(Site.Recv, Site.OpNode);
   if (Site.IdArg != InvalidNode)
-    addFlow(G, Site.IdArg, Site.OpNode);
+    G.addFlowEdge(Site.IdArg, Site.OpNode);
   if (Site.ValArg != InvalidNode)
-    addFlow(G, Site.ValArg, Site.OpNode);
+    G.addFlowEdge(Site.ValArg, Site.OpNode);
   if (Site.AttachParent != InvalidNode)
-    addFlow(G, Site.AttachParent, Site.OpNode);
+    G.addFlowEdge(Site.AttachParent, Site.OpNode);
   if (Site.Out != InvalidNode)
-    addFlow(G, Site.OpNode, Site.Out);
+    G.addFlowEdge(Site.OpNode, Site.Out);
 }
 
 void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
@@ -159,13 +150,13 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
     if (!ModelUnknown || S.Lhs == InvalidVar)
       return false;
     if (S.MethodName == "newInstance" && S.Args.empty()) {
-      addFlow(G, 
+      G.addFlowEdge(
           G.makeUnknownViewNode(UnknownReason::ReflectiveNew, &M, S.Loc),
           G.getVarNode(&M, S.Lhs));
       return true;
     }
     if (S.MethodName == "getIdentifier") {
-      addFlow(G, G.makeUnknownIdNode(UnknownReason::DynamicId, &M, S.Loc),
+      G.addFlowEdge(G.makeUnknownIdNode(UnknownReason::DynamicId, &M, S.Loc),
                     G.getVarNode(&M, S.Lhs));
       return true;
     }
@@ -203,11 +194,11 @@ void GraphBuilder::buildInvoke(ConstraintGraph &G, std::vector<OpSite> &Ops,
       const ir::FieldDecl *Elements = AM.listElementsField();
       if (Elements) {
         if (S.MethodName == "add" && S.Args.size() == 1)
-          addFlow(G, G.getVarNode(&M, S.Args[0]),
+          G.addFlowEdge(G.getVarNode(&M, S.Args[0]),
                         G.getFieldNode(Elements));
         else if ((S.MethodName == "get" || S.MethodName == "remove") &&
                  S.Lhs != InvalidVar)
-          addFlow(G, G.getFieldNode(Elements), G.getVarNode(&M, S.Lhs));
+          G.addFlowEdge(G.getFieldNode(Elements), G.getVarNode(&M, S.Lhs));
       }
     } else {
       mintUnknownResult();
@@ -224,7 +215,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
     const Stmt &S = M.body()[I];
     switch (S.Kind) {
     case StmtKind::AssignVar:
-      addFlow(G, G.getVarNode(&M, S.Base), G.getVarNode(&M, S.Lhs));
+      G.addFlowEdge(G.getVarNode(&M, S.Base), G.getVarNode(&M, S.Lhs));
       break;
     case StmtKind::AssignNew: {
       const ClassDecl *C = findClassCached(S.ClassName);
@@ -235,7 +226,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
         if (ModelUnknown && S.Lhs != InvalidVar) {
           Diags.warning(S.Loc, "new of unresolved class '" + S.ClassName +
                                    "'; modeling result as unknown");
-          addFlow(G, 
+          G.addFlowEdge(
               G.makeUnknownViewNode(UnknownReason::UnknownClass, &M, S.Loc),
               G.getVarNode(&M, S.Lhs));
         }
@@ -244,7 +235,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       bool IsView = AM.isViewClass(C);
       NodeId Alloc = G.getAllocNode(&M, static_cast<int32_t>(I), C, IsView,
                                     S.Loc);
-      addFlow(G, Alloc, G.getVarNode(&M, S.Lhs));
+      G.addFlowEdge(Alloc, G.getVarNode(&M, S.Lhs));
       // Dialogs are created by the application but their lifecycle
       // callbacks (onCreate etc.) are invoked by the framework, exactly
       // like activities (Section 3.2's "similar operations on non-
@@ -264,7 +255,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
                               std::to_string(Callback->paramCount());
             if (!Seen.insert(Key).second)
               continue;
-            addFlow(G, Alloc,
+            G.addFlowEdge(Alloc,
                           G.getVarNode(Callback, Callback->thisVar()));
           }
       }
@@ -278,7 +269,7 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
           BaseVar.TypeName.empty() ? nullptr : findClassCached(BaseVar.TypeName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
-        addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
+        G.addFlowEdge(G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreField: {
@@ -287,21 +278,21 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
           BaseVar.TypeName.empty() ? nullptr : findClassCached(BaseVar.TypeName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
-        addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
+        G.addFlowEdge(G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
       break;
     }
     case StmtKind::LoadStaticField: {
       const ClassDecl *C = findClassCached(S.ClassName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
-        addFlow(G, G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
+        G.addFlowEdge(G.getFieldNode(F), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::StoreStaticField: {
       const ClassDecl *C = findClassCached(S.ClassName);
       const FieldDecl *F = C ? C->findField(S.FieldName) : nullptr;
       if (F)
-        addFlow(G, G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
+        G.addFlowEdge(G.getVarNode(&M, S.Rhs), G.getFieldNode(F));
       break;
     }
     case StmtKind::AssignLayoutId: {
@@ -312,12 +303,12 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
         // Missing layout resource: the id still reaches inflate sites as a
         // tagged unknown so downstream ops degrade instead of vanishing.
         if (ModelUnknown && S.Lhs != InvalidVar)
-          addFlow(G, 
+          G.addFlowEdge(
               G.makeUnknownIdNode(UnknownReason::MissingLayout, &M, S.Loc),
               G.getVarNode(&M, S.Lhs));
         break;
       }
-      addFlow(G, G.getLayoutIdNode(Id), G.getVarNode(&M, S.Lhs));
+      G.addFlowEdge(G.getLayoutIdNode(Id), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::AssignViewId: {
@@ -325,13 +316,13 @@ void GraphBuilder::buildMethod(ConstraintGraph &G, std::vector<OpSite> &Ops,
       // them (e.g. used only with setId); intern on demand.
       layout::ResourceId Id =
           Layouts.resources().internViewId(S.ResourceName);
-      addFlow(G, G.getViewIdNode(Id), G.getVarNode(&M, S.Lhs));
+      G.addFlowEdge(G.getViewIdNode(Id), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::AssignClassConst: {
       const ClassDecl *C = findClassCached(S.ClassName);
       if (C)
-        addFlow(G, G.getClassConstNode(C), G.getVarNode(&M, S.Lhs));
+        G.addFlowEdge(G.getClassConstNode(C), G.getVarNode(&M, S.Lhs));
       break;
     }
     case StmtKind::Invoke:

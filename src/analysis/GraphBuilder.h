@@ -26,9 +26,7 @@
 #include "hier/ClassHierarchy.h"
 #include "layout/Layout.h"
 
-#include <functional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace gator {
@@ -60,33 +58,6 @@ public:
   /// become tagged UnknownView/UnknownId nodes instead of dropped facts.
   void setModelUnknownSources(bool On) { ModelUnknown = On; }
 
-  //===--------------------------------------------------------------------===//
-  // Edit-scale rebuild support (docs/INCREMENTAL.md)
-  //===--------------------------------------------------------------------===//
-
-  /// build() composes exactly these three passes; an incremental session
-  /// drives them one unit at a time against an edge journal.
-  void buildResources(graph::ConstraintGraph &G) { buildResourceNodes(G); }
-  void buildActivities(graph::ConstraintGraph &G) { buildActivityNodes(G); }
-  void buildOneMethod(graph::ConstraintGraph &G, std::vector<OpSite> &Ops,
-                      const ir::MethodDecl &M) {
-    buildMethod(G, Ops, M);
-  }
-
-  /// When set, every flow edge this builder newly adds is appended to
-  /// \p J — the EDB footprint an edit-scale retraction later removes.
-  void setEdgeJournal(std::vector<std::pair<graph::NodeId, graph::NodeId>> *J) {
-    Journal = J;
-  }
-
-  /// When set, buildOpSite offers each new site (roles resolved, OpNode
-  /// not yet minted) to this callback, which may return the index of a
-  /// resurrectable dead op with the same kind and roles; the site then
-  /// reuses that slot and its OpNode, keeping op indices stable as memo
-  /// keys. Return ~0u to mint fresh.
-  using OpReuseFn = std::function<uint32_t(const OpSite &)>;
-  void setOpReuse(OpReuseFn Fn) { OpReuse = std::move(Fn); }
-
 private:
   void buildResourceNodes(graph::ConstraintGraph &G);
   void buildActivityNodes(graph::ConstraintGraph &G);
@@ -108,20 +79,6 @@ private:
   /// lookups are cached too.
   const ir::ClassDecl *findClassCached(const std::string &Name);
 
-  /// All builder-contributed flow edges funnel through here so the edit
-  /// journal sees exactly the EDB this builder *contributes* — including
-  /// re-adds of edges already present. An edit-scale rebuild runs against
-  /// a graph that still holds the old body's edges; an identical
-  /// contribution (say, the shared common-id edge into a same-named
-  /// local) dedups in the graph but must still land in the footprint, or
-  /// the diff would count it as removed and retract live facts.
-  void addFlow(graph::ConstraintGraph &G, graph::NodeId From,
-               graph::NodeId To) {
-    G.addFlowEdge(From, To);
-    if (Journal)
-      Journal->emplace_back(From, To);
-  }
-
   const ir::Program &P;
   layout::LayoutRegistry &Layouts;
   const android::AndroidModel &AM;
@@ -132,8 +89,6 @@ private:
 
   support::TraceSink *Trace = nullptr;
   bool ModelUnknown = true;
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> *Journal = nullptr;
-  OpReuseFn OpReuse;
 };
 
 } // namespace analysis

@@ -20,6 +20,13 @@ using namespace gator::ir;
 
 namespace {
 
+/// Per-phase statistics.
+struct PhasedStats {
+  unsigned long ReachabilitySteps = 0;
+  unsigned long Inflations = 0;
+  unsigned long PropagationRounds = 0;
+};
+
 /// Round-based (sweep-to-fixpoint) solver engine — deliberately a
 /// different evaluation strategy from Solver.h's fine-grained worklist,
 /// so the differential tests exercise two independent engines.
@@ -33,7 +40,6 @@ public:
         Diags(Diags), Tracker(Options.Budget), Prov(Prov) {}
 
   PhasedStats run() {
-    reconstructMinted();
     seed();
     {
       support::TraceSpan S(Options.Trace, "phased.reachability");
@@ -141,32 +147,11 @@ private:
     return Prov ? Prov->flowFact(Target, Value) : ProvenanceRecorder::NoFact;
   }
 
-  /// The (inflate-site, layout) memo is engine-local, but a warm re-run
-  /// over an edit-scale-retracted graph (docs/INCREMENTAL.md) must not
-  /// re-mint ViewInfl subtrees that survived retraction. Surviving roots
-  /// are recoverable from graph state alone: every minted root carries its
-  /// InflateSite and a RootsLayout edge to the layout id that produced it.
-  /// On a cold run the graph has no minted roots yet, so this is a no-op.
-  /// (InvalidNode entries for skipped degenerate sites are not
-  /// reconstructible; those sites re-diagnose on a warm run.)
-  void reconstructMinted() {
-    for (NodeKind K : {NodeKind::ViewInfl, NodeKind::UnknownView})
-      for (NodeId V : G.nodesOfKind(K)) {
-        const Node &N = G.node(V);
-        if (N.Retired || N.InflateSite == InvalidNode)
-          continue;
-        for (NodeId L : G.rootsOfLayouts(V))
-          Minted.emplace((static_cast<uint64_t>(N.InflateSite) << 32) | L, V);
-      }
-  }
-
   void seed() {
     provCtx(DerivRule::Seed);
     for (NodeId Id = 0; Id < G.size(); ++Id) {
       const Node &N = G.node(Id);
-      // Retired nodes are orphans of an edit-scale retraction
-      // (docs/INCREMENTAL.md); their minting site no longer exists.
-      if (!isValueNodeKind(N.Kind) || N.Retired)
+      if (!isValueNodeKind(N.Kind))
         continue;
       if (Prov)
         provCtx(N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId
@@ -275,17 +260,7 @@ private:
         layout::ResourceId VId =
             Layouts.resources().lookupViewId(LNode.viewIdName());
         if (VId != layout::InvalidResourceId) {
-          size_t NodesBefore = G.size();
           NodeId IdNode = G.getViewIdNode(VId);
-          if (IdNode >= NodesBefore) {
-            // An id name first interned by an edit-scale layout
-            // re-analysis has no pre-built node, so the seed phase never
-            // saw it; seed the fresh node here or its value set stays
-            // empty.
-            provCtx(DerivRule::Seed);
-            insert(IdNode, IdNode);
-            provCtx(DerivRule::Inflate, IdFact);
-          }
           G.addHasIdEdge(ViewNode, IdNode);
           provEdge(FactKind::HasId, ViewNode, IdNode, DerivRule::Inflate,
                    IdFact);
@@ -403,8 +378,8 @@ private:
     const auto &Ops = Sol.opSites();
     for (size_t I = 0, E = Ops.size(); I < E; ++I) {
       const OpSite &Op = Ops[I];
-      if (Op.Dead || (Op.Spec.Kind != OpKind::Inflate1 &&
-                      Op.Spec.Kind != OpKind::Inflate2))
+      if (Op.Spec.Kind != OpKind::Inflate1 &&
+          Op.Spec.Kind != OpKind::Inflate2)
         continue;
       if (!Tracker.charge())
         break;
@@ -555,8 +530,6 @@ private:
 
   bool fireOp(size_t OpIndex) {
     const OpSite &Op = Sol.opSites()[OpIndex];
-    if (Op.Dead)
-      return false; // edit-scale tombstone (docs/INCREMENTAL.md)
     switch (Op.Spec.Kind) {
     case OpKind::Inflate1:
     case OpKind::Inflate2:
@@ -805,15 +778,6 @@ private:
 
 } // namespace
 
-PhasedStats gator::analysis::solvePhased(ConstraintGraph &G, Solution &Sol,
-                                         const layout::LayoutRegistry &Layouts,
-                                         const AndroidModel &AM,
-                                         const AnalysisOptions &Options,
-                                         DiagnosticEngine &Diags,
-                                         ProvenanceRecorder *Prov) {
-  return PhasedEngine(G, Sol, Layouts, AM, Options, Diags, Prov).run();
-}
-
 std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
     const ir::Program &P, layout::LayoutRegistry &Layouts,
     const AndroidModel &AM, const AnalysisOptions &Options,
@@ -845,8 +809,9 @@ std::unique_ptr<AnalysisResult> gator::analysis::runPhasedAnalysis(
   Timer SolveTimer;
   {
     support::TraceSpan SolveSpan(Options.Trace, "solve");
-    solvePhased(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags,
-                Result->Provenance.get());
+    PhasedEngine(*Result->Graph, *Result->Sol, Layouts, AM, Options, Diags,
+                 Result->Provenance.get())
+        .run();
   }
   Result->SolveSeconds = SolveTimer.seconds();
   // Unknown-source nodes mean conservative approximations of hostile

@@ -54,24 +54,6 @@
 namespace gator {
 namespace analysis {
 
-/// Per-phase statistics.
-struct PhasedStats {
-  unsigned long ReachabilitySteps = 0;
-  unsigned long Inflations = 0;
-  unsigned long PropagationRounds = 0;
-};
-
-/// Runs the 3-phase pipeline over an already-built graph, filling \p Sol.
-/// When \p Prov is non-null, every committed fact is stamped with its
-/// derivation (docs/OBSERVABILITY.md), same contract as
-/// Solver::setProvenance.
-PhasedStats solvePhased(graph::ConstraintGraph &G, Solution &Sol,
-                        const layout::LayoutRegistry &Layouts,
-                        const android::AndroidModel &AM,
-                        const AnalysisOptions &Options,
-                        DiagnosticEngine &Diags,
-                        ProvenanceRecorder *Prov = nullptr);
-
 /// Convenience facade mirroring GuiAnalysis::run but using the phased
 /// solver. Fail-soft: graph-construction errors yield a result whose
 /// solution is marked DegradedInput rather than a null pointer.

@@ -70,8 +70,7 @@ enum class FactKind : uint8_t {
   RootsLayout, ///< view A is the root of an instance of layout-id B
   FlowLink,    ///< solver-added flow edge A -> B (mid-solve wiring:
                ///< listener callbacks, xml handlers, fragment/adapter
-               ///< factories) — IDB graph structure the retraction
-               ///< closure must physically remove (docs/INCREMENTAL.md)
+               ///< factories)
 };
 
 inline constexpr size_t NumFactKinds =
@@ -130,33 +129,6 @@ public:
   const Derivation &derivation(FactId Id) const { return Derivs[Id]; }
   size_t factCount() const { return Facts.size(); }
 
-  /// Retracts \p Id (delete-and-rederive, docs/INCREMENTAL.md): the fact
-  /// no longer holds, find() stops returning it, and a later record() of
-  /// the same (kind, A, B) mints a fresh FactId. The Fact/Derivation slots
-  /// stay readable (old premise ids embedded in live derivations must not
-  /// dangle) but are flagged dead. Idempotent.
-  void retract(FactId Id) {
-    if (Id >= Facts.size())
-      return;
-    if (Dead.size() < Facts.size())
-      Dead.resize(Facts.size(), false);
-    if (Dead[Id])
-      return;
-    Dead[Id] = true;
-    if (Derivs[Id].Approx)
-      --ApproxFacts;
-    const Fact &F = Facts[Id];
-    auto &Map = IndexByKind[static_cast<size_t>(F.Kind)];
-    auto It = Map.find(key(F.A, F.B));
-    // Only unlink if the index still points at *this* fact: the key may
-    // already map to a re-recorded successor.
-    if (It != Map.end() && It->second == Id)
-      Map.erase(It);
-  }
-
-  /// True when \p Id has been retracted.
-  bool isDead(FactId Id) const { return Id < Dead.size() && Dead[Id]; }
-
   /// Binds the graph used to classify unknown-node endpoints when
   /// computing Derivation::Approx. Optional; without it only the rule and
   /// premise flags feed the classification.
@@ -189,8 +161,6 @@ private:
   std::array<std::unordered_map<uint64_t, FactId>, NumFactKinds> IndexByKind;
   std::vector<Fact> Facts;
   std::vector<Derivation> Derivs;
-  /// Retracted facts (grown lazily; short of Facts.size() means "alive").
-  std::vector<bool> Dead;
   uint32_t MaxDepth = 0;
   size_t ApproxFacts = 0;
   const graph::ConstraintGraph *G = nullptr;

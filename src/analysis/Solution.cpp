@@ -27,12 +27,6 @@ void Solution::noteUnresolvedOp(uint32_t OpIndex) {
     Unresolved.insert(It, OpIndex);
 }
 
-void Solution::pruneUnresolvedDeadOps() {
-  Unresolved.erase(std::remove_if(Unresolved.begin(), Unresolved.end(),
-                                  [&](uint32_t I) { return Ops[I].Dead; }),
-                   Unresolved.end());
-}
-
 const FlowSet &Solution::valuesAt(NodeId N) const {
   if (N == InvalidNode || N >= FlowsTo.size())
     return Empty;
@@ -66,7 +60,7 @@ std::vector<NodeId> Solution::listenerValuesAt(NodeId N) const {
 std::vector<const OpSite *> Solution::opsOfKind(OpKind Kind) const {
   std::vector<const OpSite *> Result;
   for (const OpSite &Op : Ops)
-    if (!Op.Dead && Op.Spec.Kind == Kind)
+    if (Op.Spec.Kind == Kind)
       Result.push_back(&Op);
   return Result;
 }
@@ -119,8 +113,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
         // Roots minted at this site carry a roots-layout edge to V and an
         // InflateSite of this op.
         for (NodeId ViewNode : G.nodesOfKind(NodeKind::ViewInfl))
-          if (G.node(ViewNode).InflateSite == Op.OpNode &&
-              !G.isRetired(ViewNode))
+          if (G.node(ViewNode).InflateSite == Op.OpNode)
             for (NodeId L : G.rootsOfLayouts(ViewNode))
               if (L == V)
                 Result.insert(ViewNode);
@@ -128,8 +121,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
         // Unknown layout id: the solver minted one unknown root per
         // (site, id) pair, linked the same way.
         for (NodeId ViewNode : G.nodesOfKind(NodeKind::UnknownView))
-          if (G.node(ViewNode).InflateSite == Op.OpNode &&
-              !G.isRetired(ViewNode))
+          if (G.node(ViewNode).InflateSite == Op.OpNode)
             for (NodeId L : G.rootsOfLayouts(ViewNode))
               if (L == V)
                 Result.insert(ViewNode);
@@ -187,8 +179,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
         for (NodeKind K : {NodeKind::ViewAlloc, NodeKind::ViewInfl,
                            NodeKind::UnknownView})
           for (NodeId V : G.nodesOfKind(K))
-            if (!G.isRetired(V))
-              Universe.push_back(V);
+            Universe.push_back(V);
         appendCapped(std::move(Universe));
       } else if (HaveUnknown) {
         // A view whose id is unknown may carry *any* constant id, and an
@@ -197,18 +188,15 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
           for (NodeId V : G.viewsWithId(U))
             Out.push_back(V);
         for (NodeId V : G.nodesOfKind(NodeKind::UnknownView))
-          if (!G.isRetired(V))
-            Out.push_back(V);
+          Out.push_back(V);
       }
     } else {
       for (NodeKind K : {NodeKind::ViewAlloc, NodeKind::ViewInfl})
         for (NodeId V : G.nodesOfKind(K))
-          if (!G.isRetired(V))
-            Out.push_back(V);
+          Out.push_back(V);
       if (HaveUnknown)
         for (NodeId V : G.nodesOfKind(NodeKind::UnknownView))
-          if (!G.isRetired(V))
-            Out.push_back(V);
+          Out.push_back(V);
     }
   } else {
     bool ChildOnly = Op.Spec.ChildOnly && ChildOnlyRefinement;
@@ -239,8 +227,7 @@ std::vector<NodeId> Solution::resultsOf(const OpSite &Op, bool TrackViewIds,
             if (std::binary_search(Candidates.begin(), Candidates.end(), V))
               Out.push_back(V);
         for (NodeId V : G.nodesOfKind(NodeKind::UnknownView))
-          if (!G.isRetired(V) &&
-              std::binary_search(Candidates.begin(), Candidates.end(), V))
+          if (std::binary_search(Candidates.begin(), Candidates.end(), V))
             Out.push_back(V);
       }
     } else {
@@ -267,8 +254,6 @@ void Solution::dump(std::ostream &OS, bool TrackViewIds, bool TrackHierarchy,
   };
 
   for (const OpSite &Op : Ops) {
-    if (Op.Dead)
-      continue;
     OS << G.label(Op.OpNode);
     if (Op.Method)
       OS << " @ " << Op.Method->qualifiedName();
@@ -325,8 +310,6 @@ Solution::computeMetrics(bool TrackViewIds, bool TrackHierarchy,
   bool HasSetListener = false;
 
   for (const OpSite &Op : Ops) {
-    if (Op.Dead)
-      continue;
     switch (Op.Spec.Kind) {
     case OpKind::FindView1:
     case OpKind::FindView3:

@@ -60,11 +60,6 @@ struct OpSite {
   graph::NodeId AttachParent = graph::InvalidNode;
   /// Result variable node (FindView*, Inflate1).
   graph::NodeId Out = graph::InvalidNode;
-  /// The op's statement disappeared in an edit-scale re-analysis
-  /// (docs/INCREMENTAL.md). Dead sites keep their slot — op indices are
-  /// stable memo keys (InflatedAt, FragmentWired) — but the solvers and
-  /// every query skip them.
-  bool Dead = false;
 };
 
 /// The fixed-point solution: flowsTo sets plus graph-resident relationship
@@ -119,11 +114,6 @@ public:
 
   /// Sorted indices into ops() of unresolved operation sites.
   const std::vector<uint32_t> &unresolvedOps() const { return Unresolved; }
-
-  /// Drops unresolved-op entries whose site died in an edit-scale
-  /// re-analysis (docs/INCREMENTAL.md). Fidelity stays as-is: downgrade
-  /// marks are sticky-conservative across incremental re-solves.
-  void pruneUnresolvedDeadOps();
 
   //===--------------------------------------------------------------------===//
   // flowsTo queries

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Content-addressed caching of whole-app analysis outcomes
-/// (docs/INCREMENTAL.md). The key is a 128-bit content hash over the
+/// (docs/CACHE.md). The key is a 128-bit content hash over the
 /// app's inputs — every source unit, layout, and manifest file, plus the
 /// canonicalized analysis options — so a warm hit in batch/fleet mode
 /// skips parse, build, and solve entirely while merging into

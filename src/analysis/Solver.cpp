@@ -178,10 +178,7 @@ void Solver::seedValueNodes() {
   provCtx(DerivRule::Seed);
   for (NodeId Id = 0; Id < G.size(); ++Id) {
     const Node &N = G.node(Id);
-    // Retired nodes are orphans of an edit-scale retraction
-    // (docs/INCREMENTAL.md); re-seeding one would resurrect a value whose
-    // minting site no longer exists.
-    if (!isValueNodeKind(N.Kind) || N.Retired)
+    if (!isValueNodeKind(N.Kind))
       continue;
     if (Prov)
       provCtx(N.Kind == NodeKind::UnknownView || N.Kind == NodeKind::UnknownId
@@ -206,9 +203,6 @@ void Solver::registerOpUses() {
   ensureSets();
   for (size_t I = 0; I < Ops.size(); ++I) {
     const OpSite &Op = Ops[I];
-    if (Op.Dead)
-      continue; // tombstoned by an edit-scale re-analysis; slot kept so
-                // op indices stay stable memo keys (docs/INCREMENTAL.md)
     for (NodeId Role : {Op.Recv, Op.IdArg, Op.ValArg, Op.AttachParent})
       if (Role != InvalidNode)
         addOpUse(Role, I);
@@ -355,15 +349,7 @@ NodeId Solver::inflateAt(size_t OpIndex, NodeId LayoutIdNode) {
           F.LNode->setResolvedViewIdRes(VId);
       }
       if (VId != layout::InvalidResourceId) {
-        size_t NodesBefore = G.size();
         NodeId IdNode = G.getViewIdNode(VId);
-        if (IdNode >= NodesBefore) {
-          // An id name first interned by an edit-scale layout re-analysis
-          // has no pre-built node, so seedValueNodes() never saw it; seed
-          // the fresh node here or its value set stays empty.
-          provCtx(DerivRule::Seed);
-          addValue(IdNode, IdNode);
-        }
         G.addHasIdEdge(ViewNode, IdNode);
         provEdge(FactKind::HasId, ViewNode, IdNode, DerivRule::Inflate,
                  IdFact);
@@ -803,8 +789,6 @@ void Solver::fireFindView(OpSite &Op) {
 
 void Solver::fireOp(size_t OpIndex) {
   OpSite &Op = Sol.opSites()[OpIndex];
-  if (Op.Dead)
-    return; // tombstoned by an edit-scale re-analysis (docs/INCREMENTAL.md)
   ++Stats.OpFirings;
   ++Stats.FiringsByKind[static_cast<size_t>(Op.Spec.Kind)];
   switch (Op.Spec.Kind) {
@@ -851,93 +835,6 @@ SolverStats Solver::solve() {
   registerOpUses();
   seedValueNodes();
   return runFixpoint();
-}
-
-SolverStats Solver::resolveIncremental(
-    const std::vector<graph::NodeId> &Touched) {
-  Stats = SolverStats();
-  ViewBaseClass = AM.program().findClass(names::View);
-  GroupBaseClass = AM.program().findClass(names::ViewGroup);
-  ensureSets();
-  registerOpUses();
-  seedValueNodes();
-
-  // The retraction closure may have deleted facts at a touched node that
-  // an untouched (fully committed) flow predecessor still implies, and
-  // committed values never re-propagate on their own — pull every
-  // predecessor's full set across edges into the touched nodes. One
-  // reverse-adjacency scan; edit-scale, not per-solve.
-  if (!Touched.empty()) {
-    std::vector<bool> IsTouched(G.size(), false);
-    for (NodeId T : Touched)
-      if (T < G.size())
-        IsTouched[T] = true;
-    auto &Sets = Sol.flowsToSets();
-    for (NodeId P = 0; P < G.size() && P < Sets.size(); ++P) {
-      bool AnyTouchedSucc = false;
-      for (NodeId S : G.flowSuccessors(P))
-        if (IsTouched[S] && G.node(S).Kind != NodeKind::Op) {
-          AnyTouchedSucc = true;
-          break;
-        }
-      if (!AnyTouchedSucc || Sets[P].empty())
-        continue;
-      // Copy out: addValue may grow Sets and invalidate the iterators.
-      std::vector<NodeId> Values(Sets[P].begin(), Sets[P].end());
-      for (NodeId S : G.flowSuccessors(P)) {
-        if (S >= IsTouched.size() || !IsTouched[S] ||
-            G.node(S).Kind == NodeKind::Op)
-          continue;
-        for (NodeId V : Values) {
-          if (Prov)
-            provCtx(DerivRule::FlowEdge, Prov->flowFact(P, V));
-          addValue(S, V);
-        }
-      }
-    }
-    // Surviving values in touched sets are all-delta (FlowSet::eraseValues
-    // reset the commit mark); enqueue them so they re-push downstream.
-    for (NodeId T : Touched)
-      if (T < Sol.flowsToSets().size() && Sol.flowsToSets()[T].hasDelta() &&
-          !InVarWorklist[T]) {
-        InVarWorklist[T] = true;
-        VarWorklist.push_back(T);
-      }
-  }
-
-  // Re-fire every live op once: rules read full role sets, so this
-  // re-derives over-deleted op facts and re-mints forgotten inflations
-  // even when no role set has a delta. Idempotent (dedup absorbs the
-  // rest) and edit-scale cheap.
-  for (size_t I = 0; I < Sol.opSites().size(); ++I)
-    if (!Sol.opSites()[I].Dead)
-      enqueueOp(I);
-
-  // Force one structure round: retraction may have removed hierarchy/id
-  // edges the structure-sensitive ops and the XML sweep must re-derive.
-  StructureDirty = true;
-  return runFixpoint();
-}
-
-void Solver::forgetOpMemos(uint32_t OpIndex) {
-  for (auto It = InflatedAt.begin(); It != InflatedAt.end();)
-    It = (It->first >> 32) == OpIndex ? InflatedAt.erase(It) : std::next(It);
-  for (auto It = FragmentWired.begin(); It != FragmentWired.end();)
-    It = (*It >> 32) == OpIndex ? FragmentWired.erase(It) : std::next(It);
-}
-
-void Solver::forgetLayoutMemos(graph::NodeId LayoutIdNode) {
-  for (auto It = InflatedAt.begin(); It != InflatedAt.end();)
-    It = static_cast<NodeId>(It->first & 0xffffffffu) == LayoutIdNode
-             ? InflatedAt.erase(It)
-             : std::next(It);
-}
-
-void Solver::forgetWiredValue(graph::NodeId Value) {
-  for (auto It = FragmentWired.begin(); It != FragmentWired.end();)
-    It = static_cast<NodeId>(*It & 0xffffffffu) == Value
-             ? FragmentWired.erase(It)
-             : std::next(It);
 }
 
 SolverStats Solver::runFixpoint() {

@@ -81,33 +81,6 @@ public:
 
   SolverStats solve();
 
-  /// Re-derives after a delete-and-rederive retraction
-  /// (docs/INCREMENTAL.md). \p Touched lists the nodes whose flowsTo sets
-  /// the closure shrank; their surviving values were already marked
-  /// all-delta by FlowSet::eraseValues. Re-registers op uses (skipping
-  /// dead sites), re-seeds value nodes (skipping retired ones), pulls
-  /// every flow predecessor's full set into the touched nodes — committed
-  /// values never re-propagate on their own — and runs the normal fixpoint
-  /// to quiescence, reaching the same least fixed point as a from-scratch
-  /// solve over the edited graph.
-  SolverStats resolveIncremental(const std::vector<graph::NodeId> &Touched);
-
-  /// Memo hygiene for the retraction closure (docs/INCREMENTAL.md): the
-  /// (op index, node) keyed memos must drop entries whose op died, whose
-  /// layout was edited, or whose wired value lost its reaching fact, or a
-  /// later re-solve would skip re-inflating / re-wiring. Over-forgetting
-  /// is safe — the rules re-fire idempotently.
-  void forgetOpMemos(uint32_t OpIndex);
-  void forgetLayoutMemos(graph::NodeId LayoutIdNode);
-  void forgetWiredValue(graph::NodeId Value);
-  /// Drops exactly one inflation memo entry — for a minted subtree the
-  /// closure retired while its op and layout both survive. (Dropping the
-  /// op's or layout's whole memo row would re-mint duplicates of subtrees
-  /// that did survive.)
-  void forgetInflation(uint32_t OpIndex, graph::NodeId Low) {
-    InflatedAt.erase((static_cast<uint64_t>(OpIndex) << 32) | Low);
-  }
-
   /// Attaches a derivation recorder (docs/OBSERVABILITY.md). Null (the
   /// default) disables recording; non-null makes every committed flowsTo
   /// fact and relationship edge carry its producing rule and premises.
@@ -121,9 +94,8 @@ private:
   void seedValueNodes();
   void registerOpUses();
 
-  /// The shared worklist loop: drains values/ops with budget checkpoints,
-  /// runs batched structure rounds, and collects final telemetry. solve()
-  /// and resolveIncremental() differ only in how they seed it.
+  /// The worklist loop: drains values/ops with budget checkpoints, runs
+  /// batched structure rounds, and collects final telemetry.
   SolverStats runFixpoint();
 
   /// Keeps the per-node tables (flowsTo sets, worklist marks, op-use
@@ -249,10 +221,9 @@ private:
     if (Prov)
       Prov->recordEdge(Kind, From, To, Rule, P0, P1);
   }
-  /// Records a solver-added flow edge From -> To as a FlowLink fact: IDB
-  /// graph structure (listener-callback, xml-handler, fragment/adapter
-  /// wiring) the retraction closure must physically remove when its
-  /// premise dies (docs/INCREMENTAL.md).
+  /// Records a solver-added flow edge From -> To (listener-callback,
+  /// xml-handler, fragment/adapter wiring) as a FlowLink fact citing the
+  /// premise that caused it.
   void provLink(NodeId From, NodeId To, DerivRule Rule,
                 FactId P0 = ProvenanceRecorder::NoFact) {
     if (Prov)

@@ -17,7 +17,7 @@ gator::corpus::analyzeCorpus(const std::vector<AppSpec> &Specs,
         support::makeSharedDeadline(Options.Budget.MaxWallSeconds);
   // The cache serves a record without artifacts, so it only applies to
   // stats-only sweeps; a wall deadline makes outcomes timing-dependent
-  // and thus uncacheable (docs/INCREMENTAL.md).
+  // and thus uncacheable (docs/CACHE.md).
   if (KeepArtifacts || !analysis::cacheEligible(TaskOptions))
     Cache = nullptr;
   const support::Hash128 OptionsKey =

@@ -76,7 +76,7 @@ struct BatchAppResult {
 /// need the default KeepArtifacts = true.
 ///
 /// \p Cache, when non-null, is the content-addressed solution cache
-/// (docs/INCREMENTAL.md): each task keys its spec + options, serves hits
+/// (docs/CACHE.md): each task keys its spec + options, serves hits
 /// without generating or solving, and stores misses. Served only when
 /// KeepArtifacts is false (a hit has no bundle or AnalysisResult to keep)
 /// and the options are cache-eligible (no wall-clock deadline); otherwise

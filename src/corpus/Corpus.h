@@ -195,7 +195,7 @@ std::vector<AppSpec> makeFleet(const FleetSpec &Fleet);
 /// generateApp is a pure function of the spec, this key identifies the
 /// generated app's entire input — the corpus-side analogue of
 /// analysis::hashAppDir for on-disk apps, and the key the batch drivers
-/// use for the content-addressed solution cache (docs/INCREMENTAL.md).
+/// use for the content-addressed solution cache (docs/CACHE.md).
 support::Hash128 hashAppSpec(const AppSpec &Spec);
 
 } // namespace corpus

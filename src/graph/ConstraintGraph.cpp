@@ -152,18 +152,10 @@ NodeId ConstraintGraph::getAllocNode(const MethodDecl *M, int32_t StmtIndex,
                                      SourceLocation Loc) {
   uint64_t Key = support::packSymbolKey(M->globalId(),
                                         static_cast<uint32_t>(StmtIndex));
-  NodeKind Kind = IsView ? NodeKind::ViewAlloc : NodeKind::Alloc;
-  if (const NodeId *Hit = AllocNodes.get(Key)) {
-    // An edit-scale rebuild (docs/INCREMENTAL.md) may re-lower this
-    // statement index with a different allocated class; the class is part
-    // of the allocation's identity, so a mismatched memo hit mints a
-    // fresh node and the session retires the stale one.
-    const Node &Existing = node(*Hit);
-    if (Existing.Klass == Klass && Existing.Kind == Kind)
-      return *Hit;
-  }
+  if (const NodeId *Hit = AllocNodes.get(Key))
+    return *Hit;
   Node N;
-  N.Kind = Kind;
+  N.Kind = IsView ? NodeKind::ViewAlloc : NodeKind::Alloc;
   N.Method = M;
   N.StmtIndex = StmtIndex;
   N.Klass = Klass;
@@ -408,77 +400,6 @@ bool ConstraintGraph::addRootsLayoutEdge(NodeId View, NodeId LayoutIdNode) {
     return false;
   }
   return addAssocEdge(RootsLayoutEdges, View, LayoutIdNode);
-}
-
-//===----------------------------------------------------------------------===//
-// Edge removal (docs/INCREMENTAL.md)
-//===----------------------------------------------------------------------===//
-
-/// Removes the first occurrence of \p To from \p List, preserving the
-/// relative order of the survivors (adjacency order is part of the
-/// deterministic-output contract). Returns false when absent.
-static bool eraseOrdered(NodeList &List, NodeId To) {
-  NodeId *It = std::find(List.begin(), List.end(), To);
-  if (It == List.end())
-    return false;
-  for (NodeId *P = It; P + 1 != List.end(); ++P)
-    *P = *(P + 1);
-  List.pop_back();
-  return true;
-}
-
-bool ConstraintGraph::removeFlowEdge(NodeId From, NodeId To) {
-  if (From >= Nodes.size() || To >= Nodes.size())
-    return false;
-  if (!eraseOrdered(FlowSucc[From], To))
-    return false;
-  // Erase the spill key unconditionally: the source may have migrated into
-  // the hash at some point, and a stale key would make a future re-add of
-  // this edge report "already present" once the degree crosses the
-  // threshold again. erase() tolerates absent keys.
-  FlowEdges.erase(edgeKey(From, To));
-  --NumFlowEdges;
-  return true;
-}
-
-bool ConstraintGraph::removeAssocEdge(AssocEdges &E, NodeId From, NodeId To) {
-  if (From >= E.Lists.size())
-    return false;
-  if (!eraseOrdered(E.Lists[From], To))
-    return false;
-  E.Spill.erase(edgeKey(From, To));
-  return true;
-}
-
-bool ConstraintGraph::removeParentChildEdge(NodeId Parent, NodeId Child) {
-  if (!removeAssocEdge(ChildEdges, Parent, Child))
-    return false;
-  --NumParentChild;
-  ++HierarchyRev;
-  return true;
-}
-
-bool ConstraintGraph::removeHasIdEdge(NodeId View, NodeId ViewIdNode) {
-  if (!removeAssocEdge(HasIdEdges, View, ViewIdNode))
-    return false;
-  if (ViewIdNode < ViewsByIdTable.size())
-    eraseOrdered(ViewsByIdTable[ViewIdNode], View);
-  return true;
-}
-
-bool ConstraintGraph::removeRootEdge(NodeId Activity, NodeId View) {
-  if (!removeAssocEdge(RootEdges, Activity, View))
-    return false;
-  ++HierarchyRev;
-  return true;
-}
-
-bool ConstraintGraph::removeListenerEdge(NodeId View, NodeId ListenerValue) {
-  return removeAssocEdge(ListenerEdges, View, ListenerValue);
-}
-
-bool ConstraintGraph::removeRootsLayoutEdge(NodeId View, NodeId LayoutIdNode) {
-  return removeAssocEdge(RootsLayoutEdges, View, LayoutIdNode);
 }
 
 std::vector<NodeId> ConstraintGraph::rootHolders() const {

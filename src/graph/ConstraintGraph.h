@@ -129,12 +129,6 @@ struct Node {
   /// Method (when non-null) and Loc name the hostile site.
   UnknownReason Unknown = UnknownReason::None;
 
-  /// Retraction left this node orphaned (docs/INCREMENTAL.md): the minting
-  /// site no longer exists after an edit-scale re-analysis. Node ids are
-  /// never reused, so retired shells stay in the table but are skipped by
-  /// value seeding, solution queries, and dumps.
-  bool Retired = false;
-
   /// Site location (ops, allocs) for labels and debugging.
   SourceLocation Loc;
 };
@@ -201,36 +195,6 @@ public:
 
   /// Human-readable label (e.g. "ViewFlipper@act_console", "FindView1:13").
   std::string label(NodeId Id) const;
-
-  //===--------------------------------------------------------------------===//
-  // Retraction (edit-scale incremental re-solve, docs/INCREMENTAL.md)
-  //===--------------------------------------------------------------------===//
-
-  /// Marks \p Id as retired: the minting site disappeared in an edit-scale
-  /// re-analysis. Seeding, queries, and dumps skip retired nodes; the slot
-  /// itself is never reused (fact and memo keys embedding the id stay
-  /// unambiguous).
-  void retireNode(NodeId Id) { Nodes[Id].Retired = true; }
-  bool isRetired(NodeId Id) const { return Nodes[Id].Retired; }
-
-  /// Severs a retired ViewInfl node's pointer into its layout tree. Layout
-  /// edits free the old LayoutNode tree, so retired views must not keep
-  /// dangling LNode pointers (label() and the XML-handler sweep both
-  /// tolerate a null LNode).
-  void neutralizeViewInflNode(NodeId Id) {
-    Nodes[Id].LNode = nullptr;
-    Nodes[Id].Retired = true;
-  }
-
-  /// Edge removal for the delete-and-rederive closure. All removers are
-  /// tolerant — removing an absent edge returns false and changes nothing —
-  /// so the retraction plan may over-approximate the edges to delete.
-  bool removeFlowEdge(NodeId From, NodeId To);
-  bool removeParentChildEdge(NodeId Parent, NodeId Child);
-  bool removeHasIdEdge(NodeId View, NodeId ViewIdNode);
-  bool removeRootEdge(NodeId Activity, NodeId View);
-  bool removeListenerEdge(NodeId View, NodeId ListenerValue);
-  bool removeRootsLayoutEdge(NodeId View, NodeId LayoutIdNode);
 
   //===--------------------------------------------------------------------===//
   // Recoverable invariants (docs/ROBUSTNESS.md)
@@ -338,7 +302,6 @@ private:
   };
 
   bool addAssocEdge(AssocEdges &E, NodeId From, NodeId To);
-  bool removeAssocEdge(AssocEdges &E, NodeId From, NodeId To);
   const NodeList &assocList(const AssocEdges &E, NodeId From) const {
     if (From >= E.Lists.size())
       return EmptyList;

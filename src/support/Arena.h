@@ -261,12 +261,6 @@ public:
   /// Drops the elements, keeping capacity.
   void clear() { Count = 0; }
 
-  /// Drops elements past \p N; no-op when N >= size(). Capacity is kept.
-  void truncate(size_t N) {
-    if (N < Count)
-      Count = static_cast<uint32_t>(N);
-  }
-
   void reserve(Arena &A, size_t NewCap) {
     if (NewCap > Cap)
       grow(A, NewCap);

@@ -44,21 +44,27 @@ BudgetTracker::BudgetTracker(const BudgetPolicy &Policy) : Policy(Policy) {
     // fan-out, identical for every task in the batch.
     HasDeadline = true;
     Deadline = *Policy.SharedDeadline;
-  } else if (Policy.MaxWallSeconds > 0.0) {
+  } else if (auto D = makeSharedDeadline(Policy.MaxWallSeconds)) {
     HasDeadline = true;
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Policy.MaxWallSeconds));
+    Deadline = *D;
   }
 }
 
 std::optional<std::chrono::steady_clock::time_point>
 gator::support::makeSharedDeadline(double MaxWallSeconds) {
-  if (MaxWallSeconds <= 0.0)
+  using Clock = std::chrono::steady_clock;
+  if (!(MaxWallSeconds > 0.0)) // also rejects NaN
     return std::nullopt;
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(MaxWallSeconds));
+  Clock::time_point Now = Clock::now();
+  // Saturate: a deadline past the clock's range can never trip, so it is
+  // no deadline. Converting it would overflow the tick count instead. The
+  // one-second margin absorbs the rounding of the double -> ticks cast.
+  double Headroom =
+      std::chrono::duration<double>(Clock::time_point::max() - Now).count();
+  if (MaxWallSeconds >= Headroom - 1.0)
+    return std::nullopt;
+  return Now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(MaxWallSeconds));
 }
 
 bool BudgetTracker::overDeadlineOrCancelled() {

@@ -43,9 +43,12 @@ enum class BudgetReason : unsigned char {
 /// Human-readable label ("work-items", "deadline", ...).
 const char *budgetReasonName(BudgetReason Reason);
 
-/// The batch-wide deadline for \p MaxWallSeconds from now, or nullopt when
-/// the knob is off. Drivers compute this once before fanning a batch out
-/// and store it in every task's BudgetPolicy::SharedDeadline.
+/// The deadline \p MaxWallSeconds from now, or nullopt when the knob is
+/// off (not a positive number) or the deadline lies past the steady
+/// clock's range (it could never trip). Batch drivers compute this once
+/// before fanning out and store it in every task's
+/// BudgetPolicy::SharedDeadline; BudgetTracker uses it for per-run
+/// budgets.
 std::optional<std::chrono::steady_clock::time_point>
 makeSharedDeadline(double MaxWallSeconds);
 

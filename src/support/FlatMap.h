@@ -15,10 +15,9 @@
 /// string hashing, no pointer-chasing across buckets.
 ///
 /// Keys are caller-packed uint64s; the all-ones key (~0) is reserved as
-/// the empty sentinel. Values must be trivially copyable. erase() uses
-/// backward-shift deletion, so probing stays tombstone-free even on the
-/// retraction paths of the incremental re-solve (docs/INCREMENTAL.md);
-/// the build-time tables still only grow.
+/// the empty sentinel. Values must be trivially copyable. Entries are
+/// never removed one at a time (only clear() empties a table), so probing
+/// needs no tombstones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,40 +89,6 @@ public:
   }
 
   bool contains(uint64_t Key) const { return get(Key) != nullptr; }
-
-  /// Removes \p Key if present; returns true when an entry was removed.
-  /// Backward-shift deletion: later slots whose probe chain crossed the
-  /// vacated slot are shifted back, so no tombstones exist and lookups
-  /// keep their stop-at-empty invariant.
-  bool erase(uint64_t Key) {
-    if (Slots.empty())
-      return false;
-    size_t Mask = Slots.size() - 1;
-    size_t I = fibonacciSlot(Key, Mask);
-    while (Slots[I].Key != Key) {
-      if (Slots[I].Key == EmptyKey)
-        return false;
-      I = (I + 1) & Mask;
-    }
-    size_t J = I;
-    while (true) {
-      J = (J + 1) & Mask;
-      if (Slots[J].Key == EmptyKey)
-        break;
-      size_t Home = fibonacciSlot(Slots[J].Key, Mask);
-      // Slots[J] may fill the hole at I only if its probe chain passed
-      // through I — i.e. its home slot is cyclically outside (I, J].
-      bool HomeInHole = I <= J ? (Home > I && Home <= J)
-                               : (Home > I || Home <= J);
-      if (!HomeInHole) {
-        Slots[I] = Slots[J];
-        I = J;
-      }
-    }
-    Slots[I] = Slot{};
-    --Count;
-    return true;
-  }
 
   void reserve(size_t N) {
     size_t Want = 16;

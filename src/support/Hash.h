@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one home for the project's hashing primitives (docs/INCREMENTAL.md).
+/// The one home for the project's hashing primitives (docs/CACHE.md).
 /// Before this header existed, FNV-1a and the Fibonacci multiply-shift
 /// spread were re-implemented inline in StringInterner, FlatIdMap, and the
 /// graph key packers; they now all delegate here, and the content-addressed

@@ -120,7 +120,7 @@ public:
   double quantile(double Q) const;
 
   /// Folds previously captured raw bucket data back in — the cache-replay
-  /// path (docs/INCREMENTAL.md): a warm hit re-contributes the cold run's
+  /// path (docs/CACHE.md): a warm hit re-contributes the cold run's
   /// observations without a Solution to observe. Returns false and leaves
   /// the histogram untouched when \p RawCounts does not match this
   /// histogram's bucket count (including the overflow slot).

@@ -2,7 +2,7 @@
 //
 // The GSC1 codec, the two cache tiers, key sensitivity, cache-served
 // batch determinism across job counts, and the poisoning contract
-// (docs/INCREMENTAL.md): corrupt, truncated, or version-skewed cache
+// (docs/CACHE.md): corrupt, truncated, or version-skewed cache
 // entries degrade to a full solve — counted, never crashing, never
 // changing results.
 //
@@ -230,6 +230,9 @@ TEST(CacheTierTest, MetricsExportCounters) {
 // Keys
 //===----------------------------------------------------------------------===//
 
+// The two fixture apps differ only in one method body and two layout
+// trees, so they serve as a minimal content pair: equal inputs hash
+// equal, a small edit changes the key.
 TEST(CacheKeyTest, AppDirHashTracksContent) {
   std::string Base = std::string(GATOR_SOURCE_DIR) +
                      "/tests/fixtures/incremental_base";

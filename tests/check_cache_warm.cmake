@@ -1,4 +1,4 @@
-# Content-addressed cache contract (docs/INCREMENTAL.md), CLI level:
+# Content-addressed cache contract (docs/CACHE.md), CLI level:
 #  1. a cold run with --cache-dir populates the disk tier;
 #  2. a warm run replays byte-identical stdout and the same exit code;
 #  3. a warm *batch* run stays byte-identical at -j 1/2/4/8;

@@ -2,11 +2,10 @@
 # produce a Chrome trace-event document whose every event carries the
 # name/ph/ts/pid/tid fields (the Perfetto-loadability contract), and
 # --metrics-out must produce valid JSON with the expected gator_*
-# instruments. A traced --incremental-edit run must carry the same phase
-# spans, parse included. Invoked by ctest with -DCLI=<gator_cli>
-# -DAPP=<app dir> -DEDIT_BASE=<base app> -DEDIT_DIR=<edited app>
+# instruments, and the trace must carry every phase span, parse included.
+# Invoked by ctest with -DCLI=<gator_cli> -DAPP=<app dir>
 # -DWORK=<scratch dir>. Validation needs python3; when absent, only the
-# exit codes are checked.
+# exit code is checked.
 
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -18,15 +17,6 @@ execute_process(
   OUTPUT_QUIET)
 if(NOT run_code EQUAL 0)
   message(FATAL_ERROR "gator_cli failed: ${run_code}")
-endif()
-
-execute_process(
-  COMMAND ${CLI} ${EDIT_BASE} --no-times --incremental-edit ${EDIT_DIR}
-          --trace-out=${WORK}/edit_trace.json
-  RESULT_VARIABLE edit_code
-  OUTPUT_QUIET)
-if(NOT edit_code EQUAL 0)
-  message(FATAL_ERROR "gator_cli --incremental-edit failed: ${edit_code}")
 endif()
 
 find_program(PYTHON3 python3)
@@ -51,14 +41,12 @@ for span in ('parse', 'graph-build', 'solve', 'solver.fixpoint'):
     assert span in names, 'missing phase span %r (have %s)' % (span, names)
 print('trace OK: %d events' % len(events))
 ")
-foreach(trace trace edit_trace)
-  execute_process(
-    COMMAND ${PYTHON3} ${WORK}/validate_trace.py ${WORK}/${trace}.json
-    RESULT_VARIABLE trace_ok)
-  if(NOT trace_ok EQUAL 0)
-    message(FATAL_ERROR "${trace}.json validation failed")
-  endif()
-endforeach()
+execute_process(
+  COMMAND ${PYTHON3} ${WORK}/validate_trace.py ${WORK}/trace.json
+  RESULT_VARIABLE trace_ok)
+if(NOT trace_ok EQUAL 0)
+  message(FATAL_ERROR "trace.json validation failed")
+endif()
 
 file(WRITE "${WORK}/validate_metrics.py" "
 import json, sys

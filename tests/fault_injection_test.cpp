@@ -421,7 +421,7 @@ TEST(MutationSweep, MutatorsAreDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cache-artifact poisoning (docs/INCREMENTAL.md): the same seeded
+// Cache-artifact poisoning (docs/CACHE.md): the same seeded
 // mutators, aimed at GSC1 solution-cache entries. The contract extends
 // the pipeline's fail-soft rule to the cache tier — a poisoned artifact
 // is a counted Corrupt outcome (a miss), never a crash and never a

@@ -1,5 +1,6 @@
 //===- support_test.cpp - Diagnostics / interner / locations ----*- C++ -*-===//
 
+#include "support/Budget.h"
 #include "support/Diagnostics.h"
 #include "support/SourceLocation.h"
 #include "support/StringInterner.h"
@@ -8,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 using namespace gator;
@@ -175,4 +179,35 @@ TEST(TimerTest, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(B, A);
   T.reset();
   EXPECT_GE(T.millis(), 0.0);
+}
+
+// A wall-clock budget past the steady clock's range must mean "no
+// deadline", not a tick-count overflow that lands in the past and trips
+// the budget at once.
+TEST(BudgetDeadlineTest, HugeWallBudgetDoesNotTrip) {
+  for (double Seconds :
+       {1e10, 1e12, 1e300, std::numeric_limits<double>::infinity()}) {
+    support::BudgetPolicy Policy;
+    Policy.MaxWallSeconds = Seconds;
+    support::BudgetTracker Tracker(Policy);
+    EXPECT_TRUE(Tracker.checkpoint(0, 0)) << Seconds;
+    EXPECT_FALSE(Tracker.exhausted()) << Seconds;
+  }
+}
+
+TEST(BudgetDeadlineTest, HugeSharedDeadlineLiesInTheFuture) {
+  auto Now = std::chrono::steady_clock::now();
+  for (double Seconds : {1e10, 1e300}) {
+    auto D = support::makeSharedDeadline(Seconds);
+    EXPECT_TRUE(!D || *D > Now) << Seconds; // nullopt = no deadline
+  }
+  auto Near = support::makeSharedDeadline(1e9);
+  ASSERT_TRUE(Near.has_value());
+  EXPECT_GT(*Near, Now);
+}
+
+TEST(BudgetDeadlineTest, NonPositiveOrNanSecondsMeanNoDeadline) {
+  EXPECT_FALSE(support::makeSharedDeadline(0.0).has_value());
+  EXPECT_FALSE(support::makeSharedDeadline(-1.0).has_value());
+  EXPECT_FALSE(support::makeSharedDeadline(std::nan("")).has_value());
 }
